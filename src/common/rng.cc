@@ -18,12 +18,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed_value)
@@ -38,29 +32,6 @@ Rng::seed(std::uint64_t seed_value)
     for (auto &word : s_)
         word = splitmix64(sm);
     hasCachedNormal_ = false;
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 random mantissa bits -> uniform in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double
@@ -94,16 +65,6 @@ Rng::uniformInt(std::int64_t lo, std::int64_t hi)
     mtperf_assert(lo <= hi, "empty integer range");
     const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
     return lo + static_cast<std::int64_t>(uniformInt(span));
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
 }
 
 double
@@ -145,14 +106,14 @@ Rng::exponential(double lambda)
 std::uint64_t
 Rng::geometric(double p)
 {
+    return GeometricSampler(p).sample(*this);
+}
+
+GeometricSampler::GeometricSampler(double p) : p_(p)
+{
     mtperf_assert(p > 0.0 && p <= 1.0, "geometric p out of range");
-    if (p >= 1.0)
-        return 0;
-    double u;
-    do {
-        u = uniform();
-    } while (u <= 0.0);
-    return static_cast<std::uint64_t>(std::log(u) / std::log1p(-p));
+    if (p < 1.0)
+        log1mP_ = std::log1p(-p);
 }
 
 std::uint64_t
@@ -191,7 +152,29 @@ zipfHIntegralInverse(double e, double x)
     return std::exp(std::log1p(t) / (1.0 - e));
 }
 
+/** Rejection-inversion acceptance threshold for candidate rank k. */
+double
+zipfAcceptThreshold(double e, double k)
+{
+    return zipfHIntegral(e, k + 0.5) - zipfH(e, k);
+}
+
 } // namespace
+
+double
+ZipfAcceptMemo::threshold(double s, double k)
+{
+    if (k > static_cast<double>(kMaxRank))
+        return zipfAcceptThreshold(s, k);
+    if (s != s_) {
+        s_ = s;
+        table_.assign(kMaxRank + 1, NAN);
+    }
+    double &slot = table_[static_cast<std::size_t>(k)];
+    if (std::isnan(slot))
+        slot = zipfAcceptThreshold(s, k);
+    return slot;
+}
 
 ZipfSampler::ZipfSampler(std::uint64_t n, double s) : n_(n), s_(s)
 {
@@ -205,7 +188,7 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double s) : n_(n), s_(s)
 }
 
 std::uint64_t
-ZipfSampler::sample(Rng &rng) const
+ZipfSampler::sample(Rng &rng, ZipfAcceptMemo *memo) const
 {
     if (n_ == 1)
         return 0;
@@ -219,7 +202,8 @@ ZipfSampler::sample(Rng &rng) const
         else if (k > static_cast<double>(n_))
             k = static_cast<double>(n_);
         if (k - x <= hX1_ ||
-            u >= zipfHIntegral(s_, k + 0.5) - zipfH(s_, k)) {
+            u >= (memo != nullptr ? memo->threshold(s_, k)
+                                  : zipfAcceptThreshold(s_, k))) {
             return static_cast<std::uint64_t>(k) - 1;
         }
     }

@@ -16,6 +16,7 @@
 #ifndef MTPERF_COMMON_RNG_H_
 #define MTPERF_COMMON_RNG_H_
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -38,14 +39,33 @@ class Rng
     void seed(std::uint64_t seed);
 
     /** @return the next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+
+        return result;
+    }
 
     std::uint64_t operator()() { return next(); }
     static constexpr std::uint64_t min() { return 0; }
     static constexpr std::uint64_t max() { return ~0ULL; }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 random mantissa bits -> uniform in [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);
@@ -57,7 +77,15 @@ class Rng
     std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
 
     /** Bernoulli draw with probability @p p of returning true. */
-    bool chance(double p);
+    bool
+    chance(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniform() < p;
+    }
 
     /** Standard normal via Box-Muller (cached second variate). */
     double normal();
@@ -94,9 +122,74 @@ class Rng
     }
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
     double cachedNormal_ = 0.0;
     bool hasCachedNormal_ = false;
+};
+
+/**
+ * A geometric(p) sampler with log1p(-p) precomputed at construction.
+ * sample() consumes the same uniforms and returns bit-identical values
+ * to Rng::geometric(p), which is implemented on top of it; callers
+ * drawing from one p many times (the workload generator's register
+ * dependency distances) keep one of these instead of re-deriving the
+ * logarithm on every draw.
+ */
+class GeometricSampler
+{
+  public:
+    /** Sampler for p == 1: always 0, draws nothing. */
+    GeometricSampler() = default;
+
+    /** @pre p in (0, 1]. */
+    explicit GeometricSampler(double p);
+
+    /** Failures before the first success, drawn from @p rng. */
+    std::uint64_t
+    sample(Rng &rng) const
+    {
+        if (p_ >= 1.0)
+            return 0;
+        double u;
+        do {
+            u = rng.uniform();
+        } while (u <= 0.0);
+        return static_cast<std::uint64_t>(std::log(u) / log1mP_);
+    }
+
+  private:
+    double p_ = 1.0;
+    double log1mP_ = 0.0; //!< log1p(-p), unused when p == 1
+};
+
+/**
+ * Memo of the Zipf rejection-inversion acceptance threshold
+ * H(k + 1/2) - h(k) for ranks k <= kMaxRank. The threshold depends
+ * only on the exponent s and the candidate rank k, not on the support
+ * size n, so one memo serves every ZipfSampler with the same s — the
+ * workload generator keeps one per sampler role and it survives the
+ * per-section sampler rebuilds. A different s clears it. Entries are
+ * computed on first use by the same expression an unmemoised draw
+ * evaluates, so values are bit-identical; ranks above kMaxRank are
+ * computed on every draw, which bounds the table at 32 KiB.
+ */
+class ZipfAcceptMemo
+{
+  public:
+    static constexpr std::uint64_t kMaxRank = 4096;
+
+    /** The acceptance threshold for rank @p k (1-based) under @p s. */
+    double threshold(double s, double k);
+
+  private:
+    double s_ = NAN;              //!< exponent the table holds
+    std::vector<double> table_;   //!< by rank; NaN = not yet computed
 };
 
 /**
@@ -107,7 +200,7 @@ class Rng
  * of addresses per section from fixed footprints) construct one of
  * these per (n, s) instead. sample() consumes the same uniform stream
  * and produces bit-identical values to Rng::zipf — Rng::zipf is
- * implemented on top of it.
+ * implemented on top of it — with or without a ZipfAcceptMemo.
  */
 class ZipfSampler
 {
@@ -118,8 +211,12 @@ class ZipfSampler
     /** Precompute constants for Zipf over [0, n) with exponent s. */
     ZipfSampler(std::uint64_t n, double s);
 
-    /** Draw one value in [0, n), consuming uniforms from @p rng. */
-    std::uint64_t sample(Rng &rng) const;
+    /**
+     * Draw one value in [0, n), consuming uniforms from @p rng. A
+     * @p memo, when given, caches the per-rank acceptance thresholds
+     * across draws (and across samplers sharing the exponent).
+     */
+    std::uint64_t sample(Rng &rng, ZipfAcceptMemo *memo = nullptr) const;
 
     std::uint64_t n() const { return n_; }
     double s() const { return s_; }

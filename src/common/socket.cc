@@ -26,6 +26,17 @@ failErrno(const std::string &what)
     mtperf_fatal(what, ": ", std::strerror(errno));
 }
 
+/**
+ * Request/response framing wants low latency, not Nagle: a small
+ * reply must not wait for the peer's delayed ACK. TCP sockets only.
+ */
+void
+setNoDelay(int fd)
+{
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 /** Resolve a numeric IPv4 literal or "localhost". */
 in_addr
 resolveHost(const std::string &host)
@@ -211,12 +222,8 @@ connectTo(const Endpoint &endpoint, int timeout_ms)
     }
     if (rc != 0)
         failErrno("cannot connect to " + endpoint.display());
-    if (!endpoint.unixDomain) {
-        // Request/response framing wants low latency, not Nagle.
-        const int one = 1;
-        ::setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one,
-                     sizeof(one));
-    }
+    if (!endpoint.unixDomain)
+        setNoDelay(sock.fd());
     return sock;
 }
 
@@ -309,9 +316,17 @@ Socket
 acceptNonBlocking(const Socket &listener)
 {
     while (true) {
-        const int fd = ::accept(listener.fd(), nullptr, nullptr);
-        if (fd >= 0)
-            return Socket(fd);
+        sockaddr_storage peer{};
+        socklen_t peer_len = sizeof(peer);
+        const int fd = ::accept(listener.fd(),
+                                reinterpret_cast<sockaddr *>(&peer),
+                                &peer_len);
+        if (fd >= 0) {
+            Socket sock(fd);
+            if (peer.ss_family == AF_INET || peer.ss_family == AF_INET6)
+                setNoDelay(fd);
+            return sock;
+        }
         if (errno == EINTR)
             continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK ||

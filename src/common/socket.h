@@ -148,7 +148,8 @@ void setNonBlocking(int fd);
  * Accept one connection without blocking (the listener must be
  * non-blocking). @return an invalid Socket when nothing is pending;
  * @throw FatalError on a real accept failure. Transient per-connection
- * failures (ECONNABORTED) read as "nothing pending".
+ * failures (ECONNABORTED) read as "nothing pending". An accepted TCP
+ * connection gets TCP_NODELAY, as connectTo's client side does.
  */
 Socket acceptNonBlocking(const Socket &listener);
 

@@ -17,6 +17,13 @@
  * serves a stale bubble — results are bit-identical with the cache on,
  * off, or any size. Statistics (lcpStalls) are charged per dynamic
  * instruction either way.
+ *
+ * The process-wide decode.cache_* obs counters are fed from the local
+ * counts in batches of kPublishBatch lookups, and on reset() and
+ * destruction, so no simulated instruction does an atomic
+ * read-modify-write on a cache line shared by every pool thread.
+ * Totals read after a simulation returns are exact; a sampler reading
+ * mid-run lags by at most kPublishBatch - 1 lookups per live decoder.
  */
 
 #ifndef MTPERF_UARCH_DECODER_H_
@@ -50,24 +57,50 @@ class Decoder
     explicit Decoder(const DecoderConfig &config = {});
 
     /**
+     * A copy publishes only what it decodes itself; a move takes over
+     * the source's unpublished counts. Either way every lookup reaches
+     * the obs counters exactly once.
+     */
+    Decoder(const Decoder &other);
+    Decoder(Decoder &&other) noexcept;
+    Decoder &operator=(const Decoder &other);
+    Decoder &operator=(Decoder &&other) noexcept;
+
+    /** Publishes the counts not yet published. */
+    ~Decoder();
+
+    /** Lookups between two publications to the obs counters. */
+    static constexpr std::uint64_t kPublishBatch = 4096;
+
+    /**
      * Account for one fetched instruction.
      * @return the decode bubble in cycles (0 for ordinary encodings).
      */
     Cycle decode(const MicroOp &op);
 
-    /** Clear statistics and the decoded-op cache. */
+    /** Publish, then clear statistics and the decoded-op cache. */
     void reset();
 
     std::uint64_t lcpStalls() const { return lcpStalls_; }
 
     /** @name Decode-cache accounting (hits + misses == lookups). */
     ///@{
-    std::uint64_t cacheLookups() const { return cacheLookups_; }
-    std::uint64_t cacheHits() const { return cacheHits_; }
-    std::uint64_t cacheMisses() const { return cacheMisses_; }
+    std::uint64_t cacheLookups() const { return counts_.lookups; }
+    std::uint64_t cacheHits() const { return counts_.hits; }
+    std::uint64_t cacheMisses() const { return counts_.misses; }
     ///@}
 
   private:
+    struct CacheCounts
+    {
+        std::uint64_t lookups = 0;
+        std::uint64_t hits = 0;
+        std::uint64_t misses = 0;
+    };
+
+    /** Add the counts since the last publication to the obs counters. */
+    void publish();
+
     /** One memoized decode; pc == kEmptyTag means never filled. */
     struct CacheEntry
     {
@@ -80,9 +113,8 @@ class Decoder
 
     DecoderConfig config_;
     std::uint64_t lcpStalls_ = 0;
-    std::uint64_t cacheLookups_ = 0;
-    std::uint64_t cacheHits_ = 0;
-    std::uint64_t cacheMisses_ = 0;
+    CacheCounts counts_;
+    CacheCounts published_; //!< part of counts_ already published
     std::vector<CacheEntry> cache_; //!< direct-mapped, power-of-two
     std::size_t indexMask_ = 0;
 };

@@ -61,6 +61,7 @@ StreamGenerator::setParams(const PhaseParams &params)
     hotSampler_ = ZipfSampler(hotLines_, 1.2);
     dataSampler_ = ZipfSampler(dataLines_, params_.zipfS);
     codeSampler_ = ZipfSampler(codeLines_, params_.codeZipfS);
+    depSampler_ = GeometricSampler(params_.depGeoP);
 }
 
 std::uint64_t
@@ -155,10 +156,10 @@ StreamGenerator::randomDataAddress()
         rng_.uniformInt(std::uint64_t(kLineBytes / 8)) * 8;
     if (rng_.chance(params_.hotFrac)) {
         // Stack/locals/globals: a small, heavily reused region.
-        const std::uint64_t line = hotSampler_.sample(rng_);
+        const std::uint64_t line = hotSampler_.sample(rng_, &hotMemo_);
         return hotBase_ + line * kLineBytes + offset;
     }
-    const std::uint64_t rank = dataSampler_.sample(rng_);
+    const std::uint64_t rank = dataSampler_.sample(rng_, &dataMemo_);
     return dataBase_ + scrambledLine(rank) * kLineBytes + offset;
 }
 
@@ -181,7 +182,7 @@ StreamGenerator::advancePc(bool taken_branch)
     }
     if (rng_.chance(params_.farJumpFrac)) {
         // Call or indirect jump to a zipf-hot region of the footprint.
-        const std::uint64_t line = codeSampler_.sample(rng_);
+        const std::uint64_t line = codeSampler_.sample(rng_, &codeMemo_);
         pc_ = codeBase_ + line * kLineBytes +
               rng_.uniformInt(std::uint64_t(kLineBytes / 4)) * 4;
         return;
@@ -221,7 +222,7 @@ StreamGenerator::next()
 
     // Register dependency (pointer-chase loads override this below).
     if (!rng_.chance(params_.depNoneFrac)) {
-        const std::uint64_t dist = 1 + rng_.geometric(params_.depGeoP);
+        const std::uint64_t dist = 1 + depSampler_.sample(rng_);
         op.depDist = static_cast<std::uint16_t>(
             std::min<std::uint64_t>(dist, 64));
     }

@@ -64,10 +64,18 @@ class StreamGenerator
      * Per-footprint Zipf samplers, rebuilt by setParams (per section)
      * instead of re-deriving the rejection-inversion constants on
      * every address draw. Bit-identical to calling Rng::zipf inline.
+     * Each role keeps an acceptance-threshold memo that outlives the
+     * rebuilds: jitter moves the footprints (n) but not the exponents.
      */
     ZipfSampler hotSampler_;
     ZipfSampler dataSampler_;
     ZipfSampler codeSampler_;
+    ZipfAcceptMemo hotMemo_;
+    ZipfAcceptMemo dataMemo_;
+    ZipfAcceptMemo codeMemo_;
+
+    /** Register-dependency distances, rebuilt by setParams. */
+    GeometricSampler depSampler_;
 
     uarch::Addr pc_;
     uarch::Addr streamPos_ = 0;

@@ -17,6 +17,11 @@
 #include <string>
 #include <thread>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
@@ -286,6 +291,51 @@ TEST(EventLoopStop, StopIsIdempotentAndClosesConnections)
     EXPECT_EQ(loop.numConnections(), 0u);
     Frame reply;
     EXPECT_FALSE(readFrame(client.fd(), reply)) << "EOF expected";
+}
+
+/** Accept the one connection pending on @p listener. */
+net::Socket
+acceptPending(const net::Socket &listener)
+{
+    net::setNonBlocking(listener.fd());
+    EXPECT_TRUE(net::waitReadable(listener.fd(), 2000));
+    return net::acceptNonBlocking(listener);
+}
+
+TEST(AcceptNonBlocking, AcceptedTcpSocketHasNoDelay)
+{
+    // Pipelined small replies must not wait on Nagle behind the
+    // client's delayed ACK: the server side disables it, as the
+    // client side (connectTo) always has.
+    std::uint16_t port = 0;
+    net::Socket listener = net::listenTcp("127.0.0.1", 0, &port);
+    net::Socket client = net::connectTo(
+        net::parseEndpoint("127.0.0.1:" + std::to_string(port), 0),
+        2000);
+    net::Socket accepted = acceptPending(listener);
+    ASSERT_TRUE(accepted.valid());
+    int nodelay = 0;
+    socklen_t len = sizeof(nodelay);
+    ASSERT_EQ(::getsockopt(accepted.fd(), IPPROTO_TCP, TCP_NODELAY,
+                           &nodelay, &len),
+              0);
+    EXPECT_EQ(nodelay, 1);
+}
+
+TEST(AcceptNonBlocking, UnixDomainSocketStillAccepts)
+{
+    const std::string path = testing::TempDir() + "/mtperf_accept_" +
+                             std::to_string(::getpid()) + ".sock";
+    net::Socket listener = net::listenUnix(path);
+    net::Socket client =
+        net::connectTo(net::parseEndpoint("unix:" + path, 0), 2000);
+    net::Socket accepted = acceptPending(listener);
+    ASSERT_TRUE(accepted.valid());
+    net::writeAll(client.fd(), "ping", 4);
+    char buffer[4] = {};
+    ASSERT_TRUE(net::readFully(accepted.fd(), buffer, sizeof(buffer)));
+    EXPECT_EQ(std::string(buffer, sizeof(buffer)), "ping");
+    ::unlink(path.c_str());
 }
 
 } // namespace

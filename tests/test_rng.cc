@@ -263,5 +263,90 @@ TEST(ZipfSampler, BitIdenticalToRngZipf)
     }
 }
 
+TEST(Rng, RawStreamIsPinned)
+{
+    // The generator's output for a fixed seed is part of every
+    // simulated byte: inlining or restructuring next() must not move it.
+    Rng rng(20070425);
+    const std::uint64_t expected[] = {
+        0xe6647436aec75cb3ULL, 0x4cf6012c12287c84ULL,
+        0xe341b62586f1e1f0ULL, 0x941cb78664c9a130ULL,
+        0x38685fcb102cf945ULL, 0xf701087014dba79cULL};
+    for (const std::uint64_t value : expected)
+        EXPECT_EQ(rng.next(), value);
+    EXPECT_EQ(rng.uniform(), 0.027148220394324629);
+    EXPECT_TRUE(rng.chance(0.5));
+    std::uint64_t fold = 0;
+    for (int i = 0; i < 1000; ++i)
+        fold = fold * 31 + rng.next();
+    EXPECT_EQ(fold, 0x56f7815ebdcda850ULL);
+}
+
+TEST(GeometricSampler, LockstepWithRngGeometric)
+{
+    for (const double p : {0.05, 0.3, 0.62, 0.9, 1.0}) {
+        Rng direct(99), sampled(99);
+        const GeometricSampler sampler(p);
+        for (int i = 0; i < 5000; ++i)
+            ASSERT_EQ(sampler.sample(sampled), direct.geometric(p))
+                << "p=" << p << " draw " << i;
+        EXPECT_EQ(direct.next(), sampled.next()) << "p=" << p;
+    }
+}
+
+TEST(GeometricSampler, CertainSuccessDrawsNothing)
+{
+    Rng rng(5), untouched(5);
+    const GeometricSampler certain(1.0);
+    const GeometricSampler defaulted;
+    for (int i = 0; i < 10; ++i) {
+        EXPECT_EQ(certain.sample(rng), 0u);
+        EXPECT_EQ(defaulted.sample(rng), 0u);
+    }
+    EXPECT_EQ(rng.next(), untouched.next());
+}
+
+TEST(ZipfAcceptMemo, LockstepWithFreshSamplersAcrossRebuilds)
+{
+    // One memo per exponent, reused across sampler rebuilds that change
+    // n (as the workload generator's setParams does every section),
+    // must give exactly what a fresh unmemoised sampler gives. The n
+    // sequence covers the single-value support, footprints below and
+    // above the memo's rank cap, and a shrink after a growth.
+    const std::uint64_t sizes[] = {1, 37, 5000, 100000, 64, 1};
+    for (const double s : {0.8, 1.0, 1.1, 1.2}) {
+        ZipfAcceptMemo memo;
+        Rng fresh(2024), memoised(2024);
+        std::uint64_t above_cap = 0;
+        for (const std::uint64_t n : sizes) {
+            const ZipfSampler sampler(n, s);
+            for (int i = 0; i < 4000; ++i) {
+                const std::uint64_t want =
+                    ZipfSampler(n, s).sample(fresh);
+                ASSERT_EQ(sampler.sample(memoised, &memo), want)
+                    << "n=" << n << " s=" << s << " draw " << i;
+                above_cap += want + 1 > ZipfAcceptMemo::kMaxRank;
+            }
+        }
+        EXPECT_EQ(fresh.next(), memoised.next()) << "s=" << s;
+        EXPECT_GT(above_cap, 0u) << "s=" << s;
+    }
+}
+
+TEST(ZipfAcceptMemo, ChangedExponentIsNotServedStale)
+{
+    ZipfAcceptMemo memo;
+    Rng fresh(77), memoised(77);
+    for (const double s : {1.2, 0.7, 1.0, 1.2}) {
+        const ZipfSampler sampler(300, s);
+        for (int i = 0; i < 3000; ++i) {
+            ASSERT_EQ(sampler.sample(memoised, &memo),
+                      fresh.zipf(300, s))
+                << "s=" << s << " draw " << i;
+        }
+    }
+    EXPECT_EQ(fresh.next(), memoised.next());
+}
+
 } // namespace
 } // namespace mtperf

@@ -1,7 +1,11 @@
 #include "multicore/corun_runner.h"
 
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <optional>
+#include <thread>
 
 #include "common/fault.h"
 #include "common/logging.h"
@@ -28,55 +32,180 @@ nameHash(const std::string &name)
 }
 
 /**
- * One core's workload execution state. The seeding mirrors the solo
- * runner exactly — options.seed ^ FNV(name) with the same per-phase
- * generator derivation — plus a golden-ratio core salt, so identical
- * workloads on different cores run distinct deterministic streams.
+ * Where a lane stands in its section schedule. The lane's front and
+ * the stepper each walk their own copy over the same op stream.
  */
-struct Lane
+struct Schedule
 {
     const workload::WorkloadSpec *spec = nullptr;
-    std::uint64_t laneSeed = 0;
-    Rng jitterRng{0};
     std::size_t phaseIndex = 0;
     std::size_t sectionsInPhase = 0;
     std::size_t sectionInPhase = 0;
     std::size_t sectionIndex = 0; //!< lane-local running section index
     std::uint64_t instrInSection = 0;
-    std::optional<workload::StreamGenerator> gen;
-    uarch::EventCounters before;
-    std::vector<workload::SectionRecord> records;
     bool done = false;
+
+    const workload::PhaseSpec &phase() const
+    {
+        return spec->phases[phaseIndex];
+    }
+
+    /** Enter the next phase with a nonzero section budget, if any. */
+    void
+    enterPhase(double scale)
+    {
+        for (; phaseIndex < spec->phases.size(); ++phaseIndex) {
+            sectionsInPhase = static_cast<std::size_t>(std::llround(
+                static_cast<double>(spec->phases[phaseIndex].sections) *
+                scale));
+            if (sectionsInPhase > 0) {
+                sectionInPhase = 0;
+                return;
+            }
+        }
+        done = true;
+    }
+
+    /** Count one instruction; true when it closed the section. */
+    bool
+    step(std::uint64_t per_section)
+    {
+        if (++instrInSection < per_section)
+            return false;
+        instrInSection = 0;
+        return true;
+    }
+
+    /** Move past a closed section; true when a new phase began. */
+    bool
+    nextSection(double scale)
+    {
+        ++sectionIndex;
+        if (++sectionInPhase < sectionsInPhase)
+            return false;
+        ++phaseIndex;
+        enterPhase(scale);
+        return !done;
+    }
 };
 
-std::size_t
-scaledSections(const workload::PhaseSpec &phase, double scale)
+/**
+ * A lane's front: its generator, section jitter and the core's
+ * private structures, run ahead of the stepper. The seeding mirrors
+ * the solo runner exactly — options.seed ^ FNV(name) with the same
+ * per-phase generator derivation — plus a golden-ratio core salt, so
+ * identical workloads on different cores run distinct deterministic
+ * streams.
+ */
+struct alignas(64) LaneFront
 {
-    return static_cast<std::size_t>(std::llround(
-        static_cast<double>(phase.sections) * scale));
+    Schedule at;
+    std::uint64_t laneSeed = 0;
+    Rng jitterRng{0};
+    std::optional<workload::StreamGenerator> gen;
+
+    void
+    startPhase()
+    {
+        gen.emplace(at.phase().params,
+                    laneSeed ^ (at.sectionIndex * 0x9e3779b9ULL + 1));
+    }
+
+    /** Prepare up to @p count records into @p out; returns how many. */
+    std::size_t
+    fill(uarch::Core &core, uarch::FrontRecord *out, std::size_t count,
+         const workload::RunnerOptions &options)
+    {
+        std::size_t n = 0;
+        while (n < count && !at.done) {
+            if (at.instrInSection == 0) {
+                gen->setParams(workload::jitterPhase(
+                    at.phase().params, options.paramJitter, jitterRng));
+            }
+            out[n++] = core.front(gen->next());
+            if (at.step(options.instructionsPerSection) &&
+                at.nextSection(options.sectionScale))
+                startPhase();
+        }
+        return n;
+    }
+};
+
+/** Front records per chunk. */
+constexpr std::size_t kChunkOps = 2048;
+/** Chunks in a lane's ring: how far its front may run ahead. */
+constexpr std::size_t kChunkSlots = 4;
+
+/**
+ * A lane's prepared records: a ring of chunk slots its front fills
+ * and the stepper drains. A slot is published by `produced` and
+ * handed back by `consumed`; each counter has one writer and sits on
+ * its own cache line.
+ */
+struct alignas(64) LaneRing
+{
+    std::array<std::vector<uarch::FrontRecord>, kChunkSlots> slots;
+    std::array<std::size_t, kChunkSlots> filled{};
+    alignas(64) std::atomic<std::uint64_t> produced{0};
+    std::atomic<bool> frontActive{false}; //!< the front task is running
+    alignas(64) std::atomic<std::uint64_t> consumed{0};
+};
+
+/**
+ * One step of a wait on another running task: spin briefly, then
+ * give the CPU away. Waits are only ever on a task that is running
+ * and will make progress without waiting back.
+ */
+void
+backoff(unsigned spins)
+{
+    if (spins < 64) {
+#if defined(__x86_64__) || defined(__i386__)
+        __builtin_ia32_pause();
+#endif
+    } else if (spins < 256) {
+        std::this_thread::yield();
+    } else {
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
 }
 
-/** Enter the next phase with a nonzero section budget, if any. */
-void
-advancePhase(Lane &lane, const workload::RunnerOptions &options)
+/** The stepper's side of a lane. */
+struct alignas(64) LaneTimer
 {
-    while (lane.phaseIndex < lane.spec->phases.size()) {
-        const auto &phase = lane.spec->phases[lane.phaseIndex];
-        const std::size_t sections =
-            scaledSections(phase, options.sectionScale);
-        if (sections == 0) {
-            ++lane.phaseIndex;
-            continue;
+    Schedule at;
+    std::uint64_t consumed = 0; //!< chunks finished (stepper's copy)
+    const uarch::FrontRecord *next = nullptr;
+    const uarch::FrontRecord *end = nullptr;
+    uarch::EventCounters before;
+    std::vector<workload::SectionRecord> records;
+
+    /**
+     * Point next/end at the lane's oldest unread chunk, waiting while
+     * the ring is empty and the lane's front is running (a front with
+     * room never waits, so it publishes); false when the ring is
+     * empty and the front is not running.
+     */
+    bool
+    take(const LaneRing &ring)
+    {
+        for (unsigned spins = 0;; ++spins) {
+            // Read the flag first: once it reads false, `produced`
+            // holds everything the front published.
+            const bool active =
+                ring.frontActive.load(std::memory_order_acquire);
+            if (consumed < ring.produced.load(std::memory_order_acquire))
+                break;
+            if (!active)
+                return false;
+            backoff(spins);
         }
-        lane.sectionsInPhase = sections;
-        lane.sectionInPhase = 0;
-        lane.gen.emplace(phase.params,
-                         lane.laneSeed ^
-                             (lane.sectionIndex * 0x9e3779b9ULL + 1));
-        return;
+        const std::size_t slot = consumed % kChunkSlots;
+        next = ring.slots[slot].data();
+        end = next + ring.filled[slot];
+        return true;
     }
-    lane.done = true;
-}
+};
 
 } // namespace
 
@@ -125,64 +254,147 @@ runCorunScenario(const CorunScenario &scenario,
         static_cast<std::uint32_t>(scenario.lanes.size());
     MulticoreSystem system(options.coreConfig, num_cores);
 
-    std::vector<Lane> lanes(num_cores);
-    std::vector<bool> runnable(num_cores, false);
+    std::vector<LaneFront> fronts(num_cores);
+    std::vector<LaneRing> rings(num_cores);
+    std::vector<LaneTimer> timers(num_cores);
+    std::vector<std::uint8_t> runnable(num_cores, 0);
+    std::uint32_t live = 0;
     for (std::uint32_t c = 0; c < num_cores; ++c) {
-        Lane &lane = lanes[c];
-        lane.spec = &scenario.lanes[c];
-        lane.laneSeed = options.seed ^ nameHash(lane.spec->name) ^
-                        (c * 0x9e3779b97f4a7c15ULL);
-        lane.jitterRng = Rng(lane.laneSeed);
-        advancePhase(lane, options);
-        runnable[c] = !lane.done;
+        LaneFront &front = fronts[c];
+        front.at.spec = &scenario.lanes[c];
+        front.laneSeed = options.seed ^ nameHash(front.at.spec->name) ^
+                         (c * 0x9e3779b97f4a7c15ULL);
+        front.jitterRng = Rng(front.laneSeed);
+        front.at.enterPhase(options.sectionScale);
+        if (!front.at.done)
+            front.startPhase();
+        for (auto &slot : rings[c].slots)
+            slot.resize(kChunkOps);
+        timers[c].at = front.at;
+        runnable[c] = !front.at.done;
+        live += runnable[c];
     }
 
-    auto any_runnable = [&runnable] {
-        for (bool r : runnable)
-            if (r)
-                return true;
-        return false;
+    // Whether the stepper task of the current round has not started,
+    // is running, or has returned.
+    enum : int { kPending, kRunning, kFinished };
+    std::atomic<int> stepper{kPending};
+
+    // The stepper: times prepared records under the stepping contract
+    // until every lane is done, or until the lane the contract picks
+    // has nothing prepared and its front is not running. It never
+    // skips a lane, so the instruction interleaving — and every
+    // output byte — is the same at any thread count.
+    auto step = [&] {
+        stepper.store(kRunning, std::memory_order_relaxed);
+        struct Finish
+        {
+            std::atomic<int> &state;
+            ~Finish() { state.store(kFinished, std::memory_order_release); }
+        } finish{stepper};
+        while (live > 0) {
+            const std::uint32_t c = system.nextCore(runnable);
+            LaneTimer &lane = timers[c];
+            if (lane.next == lane.end && !lane.take(rings[c]))
+                return;
+            if (lane.at.instrInSection == 0)
+                lane.before = system.counters(c);
+
+            system.core(c).time(*lane.next);
+            if (++lane.next == lane.end) {
+                rings[c].consumed.store(++lane.consumed,
+                                        std::memory_order_release);
+            }
+
+            if (!lane.at.step(options.instructionsPerSection))
+                continue;
+            workload::SectionRecord record;
+            record.workload = lane.at.spec->name;
+            record.phase = lane.at.phase().params.name;
+            record.sectionIndex = lane.at.sectionIndex;
+            record.counters = system.counters(c).delta(lane.before);
+            record.core = c;
+            record.corunSet = set_name;
+            lane.records.push_back(std::move(record));
+
+            lane.at.nextSection(options.sectionScale);
+            if (lane.at.done) {
+                runnable[c] = 0;
+                --live;
+            }
+        }
     };
 
-    while (any_runnable()) {
-        const std::uint32_t c = system.nextCore(runnable);
-        Lane &lane = lanes[c];
-        const auto &phase = lane.spec->phases[lane.phaseIndex];
-
-        if (lane.instrInSection == 0) {
-            lane.gen->setParams(workload::jitterPhase(
-                phase.params, options.paramJitter, lane.jitterRng));
-            lane.before = system.counters(c);
+    // A front fills free slots until its lane is done. With its ring
+    // full it waits only while the stepper is running (the stepper
+    // drains or returns); once the stepper has returned it makes at
+    // most one more chunk, so the round ends promptly.
+    auto prepare = [&](std::uint32_t c) {
+        LaneFront &front = fronts[c];
+        LaneRing &ring = rings[c];
+        struct Active
+        {
+            std::atomic<bool> &flag;
+            explicit Active(std::atomic<bool> &f) : flag(f)
+            {
+                flag.store(true, std::memory_order_relaxed);
+            }
+            ~Active() { flag.store(false, std::memory_order_release); }
+        } active(ring.frontActive);
+        std::uint64_t produced =
+            ring.produced.load(std::memory_order_relaxed);
+        bool filled_one = false;
+        unsigned spins = 0;
+        while (!front.at.done) {
+            const int state = stepper.load(std::memory_order_acquire);
+            if (state == kFinished && filled_one)
+                return;
+            if (produced - ring.consumed.load(std::memory_order_acquire) ==
+                kChunkSlots) {
+                if (state != kRunning)
+                    return;
+                backoff(spins++);
+                continue;
+            }
+            spins = 0;
+            const std::size_t slot = produced % kChunkSlots;
+            ring.filled[slot] =
+                front.fill(system.core(c), ring.slots[slot].data(),
+                           kChunkOps, options);
+            ring.produced.store(++produced, std::memory_order_release);
+            filled_one = true;
         }
+    };
 
-        system.core(c).execute(lane.gen->next());
-
-        if (++lane.instrInSection < options.instructionsPerSection)
-            continue;
-        lane.instrInSection = 0;
-
-        workload::SectionRecord record;
-        record.workload = lane.spec->name;
-        record.phase = phase.params.name;
-        record.sectionIndex = lane.sectionIndex++;
-        record.counters = system.counters(c).delta(lane.before);
-        record.core = c;
-        record.corunSet = set_name;
-        lane.records.push_back(std::move(record));
-
-        if (++lane.sectionInPhase == lane.sectionsInPhase) {
-            ++lane.phaseIndex;
-            advancePhase(lane, options);
-            runnable[c] = !lane.done;
+    // Rounds: one pool loop over {unfinished fronts, stepper}. Every
+    // wait is on a task that is already running and cannot be waiting
+    // back (the stepper waits on a front whose ring is empty, a front
+    // on the stepper while its ring is full), so a round always ends.
+    // With one thread, or nested in a pool task, a round runs inline:
+    // the fronts fill their rings, then the stepper drains them.
+    std::vector<std::uint32_t> preparing;
+    while (live > 0) {
+        preparing.clear();
+        for (std::uint32_t c = 0; c < num_cores; ++c) {
+            if (!fronts[c].at.done)
+                preparing.push_back(c);
         }
+        stepper.store(kPending, std::memory_order_relaxed);
+        globalPool().parallelFor(
+            preparing.size() + 1, [&](std::size_t task) {
+                if (task < preparing.size())
+                    prepare(preparing[task]);
+                else
+                    step();
+            });
     }
 
     std::vector<workload::SectionRecord> records;
     std::size_t total = 0;
-    for (const auto &lane : lanes)
+    for (const auto &lane : timers)
         total += lane.records.size();
     records.reserve(total);
-    for (auto &lane : lanes) {
+    for (auto &lane : timers) {
         records.insert(records.end(),
                        std::make_move_iterator(lane.records.begin()),
                        std::make_move_iterator(lane.records.end()));

@@ -75,7 +75,7 @@ BM_CoreDuoCorun(benchmark::State &state)
     StreamGenerator a(suiteWorkload("mcf_like").phases[0].params, 99);
     StreamGenerator b(suiteWorkload("gcc_like").phases[0].params,
                       99 ^ 0x9e3779b97f4a7c15ULL);
-    const std::vector<bool> runnable(2, true);
+    const std::vector<std::uint8_t> runnable(2, 1);
     for (auto _ : state) {
         const std::uint32_t c = system.nextCore(runnable);
         system.core(c).execute(c == 0 ? a.next() : b.next());

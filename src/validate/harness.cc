@@ -184,7 +184,7 @@ validateChasePair(const ValidateOptions &options)
     multicore::MulticoreSystem system(options.coreConfig, 2);
     std::vector<std::optional<workload::StreamGenerator>> gens(2);
     std::array<std::uint64_t, 2> executed{};
-    std::vector<bool> runnable(2, true);
+    std::vector<std::uint8_t> runnable(2, 1);
     for (std::uint32_t c = 0; c < 2; ++c) {
         // The same per-core salt the co-run runner uses, so identical
         // lane specs still walk distinct deterministic streams.

@@ -7,6 +7,7 @@
  * plus the raw component models.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -122,6 +123,90 @@ BM_CacheAccess(benchmark::State &state)
 }
 BENCHMARK(BM_CacheAccess);
 
+/** One memory op of the LSQ/DTLB replay. */
+struct MemOp
+{
+    uarch::Addr addr = 0;
+    std::uint64_t seq = 0; //!< dynamic op number, as Core::front counts
+    std::uint8_t size = 0;
+    bool store = false;
+    bool addrSlow = false;
+};
+
+constexpr std::uint64_t kReplayOpsPerWorkload = 20000;
+
+/**
+ * The loads and stores of the first kReplayOpsPerWorkload generated
+ * ops of every suite workload's first phase, back to back with one
+ * running op number: the stream Core::front feeds the store buffer
+ * and the DTLB, without the rest of the core.
+ */
+const std::vector<MemOp> &
+memReplay()
+{
+    static const std::vector<MemOp> replay = [] {
+        std::vector<MemOp> ops;
+        std::uint64_t seq = 0;
+        for (const WorkloadSpec &spec : specLikeSuite()) {
+            StreamGenerator gen(spec.phases[0].params, 99);
+            for (std::uint64_t i = 0; i < kReplayOpsPerWorkload; ++i, ++seq) {
+                const uarch::MicroOp op = gen.next();
+                if (op.cls == uarch::OpClass::Load ||
+                    op.cls == uarch::OpClass::Store) {
+                    ops.push_back({op.addr, seq, op.size,
+                                   op.cls == uarch::OpClass::Store,
+                                   op.storeAddrSlow});
+                }
+            }
+        }
+        return ops;
+    }();
+    return replay;
+}
+
+void
+BM_LoadStoreQueue(benchmark::State &state)
+{
+    const std::vector<MemOp> &replay = memReplay();
+    uarch::LoadStoreQueue lsq;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const MemOp &op = replay[i];
+        if (op.store)
+            lsq.recordStore(op.addr, op.size, op.addrSlow, op.seq);
+        else
+            benchmark::DoNotOptimize(lsq.checkLoad(op.addr, op.size, op.seq));
+        if (++i == replay.size()) {
+            i = 0;
+            lsq.reset();
+        }
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LoadStoreQueue);
+
+void
+BM_TlbAccess(benchmark::State &state)
+{
+    // The replay's addresses through the Core 2 DTLB pair: loads via
+    // the L0, stores straight to the main DTLB.
+    const std::vector<MemOp> &replay = memReplay();
+    const uarch::CoreConfig config;
+    uarch::TwoLevelDtlb dtlb(config.dtlbL0, config.dtlbMain);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const MemOp &op = replay[i];
+        if (op.store)
+            benchmark::DoNotOptimize(dtlb.translateStore(op.addr));
+        else
+            benchmark::DoNotOptimize(dtlb.translateLoad(op.addr));
+        if (++i == replay.size())
+            i = 0;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TlbAccess);
+
 void
 BM_BranchPredictor(benchmark::State &state)
 {
@@ -148,7 +233,8 @@ BENCHMARK(BM_BranchPredictor);
  *    workload produce identical counter deltas);
  *  - decode-cache accounting must balance (hits + misses == lookups,
  *    also enforced by the registered obs invariant);
- *  - every registered obs invariant must hold.
+ *  - every registered obs invariant must hold;
+ *  - the LSQ replay's block counts must equal their pinned recount.
  */
 int
 runHeadline(double scale, const std::string &json_path)
@@ -238,6 +324,43 @@ runHeadline(double scale, const std::string &json_path)
         }
     }
 
+    // Self-check 5: the LSQ replay's block counts equal a fixed
+    // recount (taken with the pre-bitmask scan), and the queue's own
+    // counters equal the flags it returned. Any change to the
+    // store-buffer scan that moves one of them moves the Table-I
+    // LOAD_BLOCK counters.
+    {
+        uarch::LoadStoreQueue lsq;
+        std::uint64_t loads = 0;
+        std::uint64_t flagged[3] = {0, 0, 0};
+        for (const MemOp &op : memReplay()) {
+            if (op.store) {
+                lsq.recordStore(op.addr, op.size, op.addrSlow, op.seq);
+                continue;
+            }
+            const uarch::LoadBlockResult r =
+                lsq.checkLoad(op.addr, op.size, op.seq);
+            ++loads;
+            flagged[0] += r.sta;
+            flagged[1] += r.std;
+            flagged[2] += r.overlap;
+        }
+        const std::uint64_t got[4] = {loads, lsq.staBlocks(),
+                                      lsq.stdBlocks(), lsq.overlapBlocks()};
+        const std::uint64_t pinned[4] = {103484, 775, 89, 1919};
+        if (!std::equal(got, got + 4, pinned) ||
+            !std::equal(flagged, flagged + 3, got + 1)) {
+            std::cerr << "perf_sim: LSQ replay counts moved: loads/sta/"
+                         "std/overlap "
+                      << got[0] << "/" << got[1] << "/" << got[2] << "/"
+                      << got[3] << ", pinned " << pinned[0] << "/"
+                      << pinned[1] << "/" << pinned[2] << "/" << pinned[3]
+                      << ", flagged " << flagged[0] << "/" << flagged[1]
+                      << "/" << flagged[2] << "\n";
+            return 1;
+        }
+    }
+
     // BM_CoreDuo headline: one two-core co-run scenario, gated on
     // counters (determinism and attributed contention), never on wall
     // time.
@@ -252,7 +375,7 @@ runHeadline(double scale, const std::string &json_path)
                                       corun_started)
             .count();
 
-    // Self-check 5: co-run determinism, counter for counter.
+    // Self-check 6: co-run determinism, counter for counter.
     {
         const std::vector<SectionRecord> again =
             multicore::runCorunScenario(scenario, options);
@@ -274,7 +397,7 @@ runHeadline(double scale, const std::string &json_path)
             }
         }
     }
-    // Self-check 6: the shared L2 attributes interference to both
+    // Self-check 7: the shared L2 attributes interference to both
     // cores; a co-run whose contention counters are zero is a broken
     // shared hierarchy.
     std::uint64_t corun_instructions = 0;

@@ -6,98 +6,67 @@
 
 namespace mtperf::uarch {
 
-Cache::Cache(const CacheConfig &config) : config_(config)
+namespace {
+
+/** Validate @p config's geometry and return its set count. */
+std::uint32_t
+checkedSets(const CacheConfig &config)
 {
-    if (config_.lineBytes == 0 ||
-        (config_.lineBytes & (config_.lineBytes - 1)) != 0) {
-        mtperf_fatal("cache '", config_.name,
-                     "': line size must be a power of two");
+    // A line holds at least two bytes, so no line address reaches the
+    // tag array's all-ones empty marker.
+    if (config.lineBytes < 2 ||
+        (config.lineBytes & (config.lineBytes - 1)) != 0) {
+        mtperf_fatal("cache '", config.name,
+                     "': line size must be a power of two of at least 2");
     }
-    if (config_.associativity == 0)
-        mtperf_fatal("cache '", config_.name, "': zero associativity");
-    const std::uint64_t num_lines = config_.sizeBytes / config_.lineBytes;
-    if (num_lines == 0 || num_lines % config_.associativity != 0) {
-        mtperf_fatal("cache '", config_.name,
+    if (config.associativity == 0)
+        mtperf_fatal("cache '", config.name, "': zero associativity");
+    const std::uint64_t num_lines = config.sizeBytes / config.lineBytes;
+    if (num_lines == 0 || num_lines % config.associativity != 0) {
+        mtperf_fatal("cache '", config.name,
                      "': size must be a multiple of assoc * line size");
     }
-    numSets_ = static_cast<std::uint32_t>(num_lines /
-                                          config_.associativity);
-    if ((numSets_ & (numSets_ - 1)) != 0)
-        mtperf_fatal("cache '", config_.name,
+    const auto sets =
+        static_cast<std::uint32_t>(num_lines / config.associativity);
+    if ((sets & (sets - 1)) != 0)
+        mtperf_fatal("cache '", config.name,
                      "': set count must be a power of two");
-    lineShift_ = static_cast<std::uint32_t>(
-        std::countr_zero(static_cast<std::uint64_t>(config_.lineBytes)));
-    lines_.assign(static_cast<std::size_t>(numSets_) *
-                      config_.associativity,
-                  Line{});
+    return sets;
 }
 
-std::uint32_t
-Cache::setIndex(Addr line_addr) const
+} // namespace
+
+Cache::Cache(const CacheConfig &config)
+    : config_(config), numSets_(checkedSets(config_)),
+      lineShift_(static_cast<std::uint32_t>(std::countr_zero(
+          static_cast<std::uint64_t>(config_.lineBytes)))),
+      tags_(numSets_, config_.associativity)
 {
-    return static_cast<std::uint32_t>(line_addr & (numSets_ - 1));
 }
 
 CacheAccessOutcome
 Cache::lookupTracked(Addr addr, bool demand)
 {
-    const Addr line_addr = addr >> lineShift_;
-    const std::uint32_t set = setIndex(line_addr);
-    Line *base = lines_.data() +
-                 static_cast<std::size_t>(set) * config_.associativity;
-    ++useClock_;
-
+    const TagTouch touch = tags_.touch(addr >> lineShift_);
     CacheAccessOutcome out;
-    for (std::uint32_t w = 0; w < config_.associativity; ++w) {
-        Line &line = base[w];
-        if (line.valid && line.tag == line_addr) {
-            line.lastUse = useClock_;
-            out.hit = true;
-            out.lineIndex = set * config_.associativity + w;
-            return out;
-        }
-    }
-
-    // Miss: evict the LRU way.
-    Line *victim = base;
-    for (std::uint32_t w = 1; w < config_.associativity; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
-            break;
-        }
-        if (base[w].lastUse < victim->lastUse)
-            victim = &base[w];
-    }
-    if (victim->valid) {
-        out.evictedValid = true;
-        out.evictedLineAddr = victim->tag;
-    }
-    victim->valid = true;
-    victim->tag = line_addr;
-    victim->lastUse = useClock_;
-    if (!demand)
-        ++prefetchFills_;
-    out.lineIndex = static_cast<std::uint32_t>(victim - lines_.data());
+    out.hit = touch.hit;
+    out.lineIndex = touch.index;
+    out.evictedValid = touch.evicted != kInvalidTag;
+    out.evictedLineAddr = out.evictedValid ? touch.evicted : 0;
+    prefetchFills_ += !demand && !touch.hit;
     return out;
-}
-
-bool
-Cache::lookup(Addr addr, bool demand)
-{
-    return lookupTracked(addr, demand).hit;
 }
 
 bool
 Cache::access(Addr addr)
 {
     ++accesses_;
-    const bool hit = lookup(addr, true);
+    const bool hit = lookupTracked(addr, true).hit;
     if (!hit) {
         ++misses_;
         if (config_.nextLinePrefetch) {
             for (std::uint32_t d = 1; d <= config_.prefetchDegree; ++d)
-                lookup(addr + d * std::uint64_t(config_.lineBytes),
-                       false);
+                fill(addr + d * std::uint64_t(config_.lineBytes));
         }
     }
     return hit;
@@ -116,22 +85,13 @@ Cache::accessTracked(Addr addr)
 bool
 Cache::probe(Addr addr) const
 {
-    const Addr line_addr = addr >> lineShift_;
-    const std::uint32_t set = setIndex(line_addr);
-    const Line *base = lines_.data() +
-                       static_cast<std::size_t>(set) *
-                           config_.associativity;
-    for (std::uint32_t w = 0; w < config_.associativity; ++w) {
-        if (base[w].valid && base[w].tag == line_addr)
-            return true;
-    }
-    return false;
+    return tags_.contains(addr >> lineShift_);
 }
 
 void
 Cache::fill(Addr addr)
 {
-    lookup(addr, false);
+    lookupTracked(addr, false);
 }
 
 CacheAccessOutcome
@@ -143,9 +103,7 @@ Cache::fillTracked(Addr addr)
 void
 Cache::reset()
 {
-    for (auto &line : lines_)
-        line = Line{};
-    useClock_ = 0;
+    tags_.reset();
     accesses_ = 0;
     misses_ = 0;
     prefetchFills_ = 0;

@@ -14,8 +14,8 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
+#include "uarch/tag_array.h"
 #include "uarch/types.h"
 
 namespace mtperf::uarch {
@@ -90,22 +90,12 @@ class Cache
     std::uint32_t numSets() const { return numSets_; }
 
   private:
-    struct Line
-    {
-        Addr tag = ~0ULL;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-    };
-
-    std::uint32_t setIndex(Addr line_addr) const;
-    bool lookup(Addr addr, bool demand);
     CacheAccessOutcome lookupTracked(Addr addr, bool demand);
 
     CacheConfig config_;
     std::uint32_t numSets_ = 0;
     std::uint32_t lineShift_ = 0;
-    std::vector<Line> lines_; //!< numSets * associativity, set-major
-    std::uint64_t useClock_ = 0;
+    SetAssocTags tags_;
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t prefetchFills_ = 0;

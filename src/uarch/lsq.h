@@ -66,17 +66,25 @@ class LoadStoreQueue
     std::uint64_t overlapBlocks() const { return overlapBlocks_; }
 
   private:
-    struct StoreEntry
-    {
-        Addr addr = 0;
-        std::uint8_t size = 0;
-        bool addrSlow = false;
-        std::uint64_t seq = 0;
-        bool valid = false;
-    };
+    /** Highest slot below @p limit marked in interacting_, or
+     *  kNoSlot. */
+    std::size_t youngestBelow(std::size_t limit) const;
+
+    static constexpr std::size_t kNoSlot = ~std::size_t{0};
 
     LsqConfig config_;
-    std::vector<StoreEntry> buffer_; //!< ring of recent stores
+    // The ring of recent stores as parallel arrays, one slot per entry.
+    // An empty slot has seq ~0, which no load is younger than.
+    std::vector<Addr> begins_;
+    std::vector<Addr> ends_; //!< begin + size
+    std::vector<std::uint64_t> seqs_;
+    /** The slow-address flag with its window folded in: the last load
+     *  seq the unresolved address blocks, seq + staWindowOps
+     *  (saturating) for a slow store and 0 for a ready one. Only
+     *  loads younger than the store consult it, and those have seq
+     *  >= 1, so 0 never blocks. */
+    std::vector<std::uint64_t> staUntil_;
+    std::vector<std::uint64_t> interacting_; //!< checkLoad's slot bitmask
     std::size_t head_ = 0;
     std::uint64_t staBlocks_ = 0;
     std::uint64_t stdBlocks_ = 0;

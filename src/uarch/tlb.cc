@@ -6,64 +6,50 @@
 
 namespace mtperf::uarch {
 
-Tlb::Tlb(const TlbConfig &config) : config_(config)
+namespace {
+
+/** Validate @p config's geometry and return its set count. */
+std::uint32_t
+checkedSets(const TlbConfig &config)
 {
-    if (config_.pageBytes == 0 ||
-        (config_.pageBytes & (config_.pageBytes - 1)) != 0) {
-        mtperf_fatal("TLB: page size must be a power of two");
+    // A page holds at least two bytes, so no page number reaches the
+    // tag array's all-ones empty marker.
+    if (config.pageBytes < 2 ||
+        (config.pageBytes & (config.pageBytes - 1)) != 0) {
+        mtperf_fatal("TLB: page size must be a power of two of at least 2");
     }
-    if (config_.associativity == 0 ||
-        config_.entries % config_.associativity != 0) {
+    if (config.associativity == 0 ||
+        config.entries % config.associativity != 0) {
         mtperf_fatal("TLB: entries must be a multiple of associativity");
     }
-    numSets_ = config_.entries / config_.associativity;
-    if ((numSets_ & (numSets_ - 1)) != 0)
+    const std::uint32_t sets = config.entries / config.associativity;
+    if (sets == 0 || (sets & (sets - 1)) != 0)
         mtperf_fatal("TLB: set count must be a power of two");
-    pageShift_ = static_cast<std::uint32_t>(
-        std::countr_zero(static_cast<std::uint64_t>(config_.pageBytes)));
-    entries_.assign(static_cast<std::size_t>(config_.entries), Entry{});
+    return sets;
+}
+
+} // namespace
+
+Tlb::Tlb(const TlbConfig &config)
+    : pageShift_(static_cast<std::uint32_t>(std::countr_zero(
+          static_cast<std::uint64_t>(config.pageBytes)))),
+      tags_(checkedSets(config), config.associativity)
+{
 }
 
 bool
 Tlb::access(Addr addr)
 {
     ++accesses_;
-    ++useClock_;
-    const Addr vpn = addr >> pageShift_;
-    const std::uint32_t set =
-        static_cast<std::uint32_t>(vpn & (numSets_ - 1));
-    Entry *base = entries_.data() +
-                  static_cast<std::size_t>(set) * config_.associativity;
-
-    for (std::uint32_t w = 0; w < config_.associativity; ++w) {
-        if (base[w].valid && base[w].vpn == vpn) {
-            base[w].lastUse = useClock_;
-            return true;
-        }
-    }
-
-    ++misses_;
-    Entry *victim = base;
-    for (std::uint32_t w = 1; w < config_.associativity; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
-            break;
-        }
-        if (base[w].lastUse < victim->lastUse)
-            victim = &base[w];
-    }
-    victim->valid = true;
-    victim->vpn = vpn;
-    victim->lastUse = useClock_;
-    return false;
+    const bool hit = tags_.touch(addr >> pageShift_).hit;
+    misses_ += !hit;
+    return hit;
 }
 
 void
 Tlb::reset()
 {
-    for (auto &e : entries_)
-        e = Entry{};
-    useClock_ = 0;
+    tags_.reset();
     accesses_ = 0;
     misses_ = 0;
 }

@@ -13,8 +13,8 @@
 #define MTPERF_UARCH_TLB_H_
 
 #include <cstdint>
-#include <vector>
 
+#include "uarch/tag_array.h"
 #include "uarch/types.h"
 
 namespace mtperf::uarch {
@@ -43,18 +43,8 @@ class Tlb
     std::uint64_t misses() const { return misses_; }
 
   private:
-    struct Entry
-    {
-        Addr vpn = ~0ULL;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-    };
-
-    TlbConfig config_;
-    std::uint32_t numSets_ = 0;
     std::uint32_t pageShift_ = 0;
-    std::vector<Entry> entries_;
-    std::uint64_t useClock_ = 0;
+    SetAssocTags tags_;
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;
 };

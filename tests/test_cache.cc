@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/logging.h"
+#include "common/rng.h"
 #include "uarch/cache.h"
+#include "uarch/core.h"
 
 namespace mtperf::uarch {
 namespace {
@@ -186,6 +190,275 @@ INSTANTIATE_TEST_SUITE_P(
                     std::pair<std::uint32_t, std::uint32_t>{4096, 4},
                     std::pair<std::uint32_t, std::uint32_t>{32768, 8},
                     std::pair<std::uint32_t, std::uint32_t>{4096, 16}));
+
+/**
+ * The cache as it stood before the shared tag array: an array of
+ * {tag, lastUse, valid} structs with two true-LRU loops. Kept here as
+ * the oracle the struct-of-arrays tags must agree with, slot for slot.
+ */
+class ReferenceCache
+{
+  public:
+    explicit ReferenceCache(const CacheConfig &config)
+        : config_(config),
+          numSets_(static_cast<std::uint32_t>(
+              config.sizeBytes / config.lineBytes / config.associativity)),
+          lines_(config.sizeBytes / config.lineBytes)
+    {
+        while ((Addr{1} << lineShift_) < config.lineBytes)
+            ++lineShift_;
+    }
+
+    bool access(Addr addr)
+    {
+        ++accesses;
+        const bool hit = lookupTracked(addr, true).hit;
+        if (!hit) {
+            ++misses;
+            if (config_.nextLinePrefetch) {
+                for (std::uint32_t d = 1; d <= config_.prefetchDegree; ++d)
+                    lookupTracked(addr + d * std::uint64_t(config_.lineBytes),
+                                  false);
+            }
+        }
+        return hit;
+    }
+
+    CacheAccessOutcome accessTracked(Addr addr)
+    {
+        ++accesses;
+        CacheAccessOutcome out = lookupTracked(addr, true);
+        misses += !out.hit;
+        return out;
+    }
+
+    CacheAccessOutcome fillTracked(Addr addr)
+    {
+        return lookupTracked(addr, false);
+    }
+
+    bool probe(Addr addr) const
+    {
+        const Addr line_addr = addr >> lineShift_;
+        const Line *base = setBase(line_addr);
+        for (std::uint32_t w = 0; w < config_.associativity; ++w) {
+            if (base[w].valid && base[w].tag == line_addr)
+                return true;
+        }
+        return false;
+    }
+
+    void reset()
+    {
+        for (auto &line : lines_)
+            line = Line{};
+        useClock_ = 0;
+        accesses = 0;
+        misses = 0;
+        prefetchFills = 0;
+    }
+
+    std::uint64_t accesses = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t prefetchFills = 0;
+
+  private:
+    struct Line
+    {
+        Addr tag = ~0ULL;
+        std::uint64_t lastUse = 0;
+        bool valid = false;
+    };
+
+    const Line *setBase(Addr line_addr) const
+    {
+        return lines_.data() +
+               static_cast<std::size_t>(line_addr & (numSets_ - 1)) *
+                   config_.associativity;
+    }
+
+    CacheAccessOutcome lookupTracked(Addr addr, bool demand)
+    {
+        const Addr line_addr = addr >> lineShift_;
+        Line *base = const_cast<Line *>(setBase(line_addr));
+        ++useClock_;
+        CacheAccessOutcome out;
+        for (std::uint32_t w = 0; w < config_.associativity; ++w) {
+            Line &line = base[w];
+            if (line.valid && line.tag == line_addr) {
+                line.lastUse = useClock_;
+                out.hit = true;
+                out.lineIndex =
+                    static_cast<std::uint32_t>(&line - lines_.data());
+                return out;
+            }
+        }
+        Line *victim = base;
+        for (std::uint32_t w = 1; w < config_.associativity; ++w) {
+            if (!base[w].valid) {
+                victim = &base[w];
+                break;
+            }
+            if (base[w].lastUse < victim->lastUse)
+                victim = &base[w];
+        }
+        if (victim->valid) {
+            out.evictedValid = true;
+            out.evictedLineAddr = victim->tag;
+        }
+        victim->valid = true;
+        victim->tag = line_addr;
+        victim->lastUse = useClock_;
+        if (!demand)
+            ++prefetchFills;
+        out.lineIndex = static_cast<std::uint32_t>(victim - lines_.data());
+        return out;
+    }
+
+    CacheConfig config_;
+    std::uint32_t numSets_;
+    std::uint32_t lineShift_ = 0;
+    std::vector<Line> lines_;
+    std::uint64_t useClock_ = 0;
+};
+
+void
+expectSameOutcome(const CacheAccessOutcome &got,
+                  const CacheAccessOutcome &want, int op)
+{
+    EXPECT_EQ(got.hit, want.hit) << "op " << op;
+    EXPECT_EQ(got.lineIndex, want.lineIndex) << "op " << op;
+    EXPECT_EQ(got.evictedValid, want.evictedValid) << "op " << op;
+    EXPECT_EQ(got.evictedLineAddr, want.evictedLineAddr) << "op " << op;
+}
+
+/**
+ * Drive a Cache and a ReferenceCache with one seeded stream of
+ * access/fill/accessTracked/fillTracked/probe calls and an occasional
+ * reset(), requiring the same answer from every call. Addresses fall
+ * in eight hot sets with three times as many lines as ways, so every
+ * set fills from empty, conflicts and evicts; one address in four is
+ * anywhere in a region twice the cache, so the prefetcher's
+ * neighbouring sets fill too. Every 10,000 ops both are reset,
+ * starting at op 5,000.
+ */
+void
+compareCacheStream(const CacheConfig &config, std::uint64_t seed, int ops)
+{
+    Cache cache(config);
+    ReferenceCache ref(config);
+    Rng rng(seed);
+    const std::uint64_t sets = cache.numSets();
+    const std::uint64_t lines = config.sizeBytes / config.lineBytes;
+    std::uint64_t evictions = 0;
+    auto same_counters = [&] {
+        EXPECT_EQ(cache.accesses(), ref.accesses);
+        EXPECT_EQ(cache.misses(), ref.misses);
+        EXPECT_EQ(cache.prefetchFills(), ref.prefetchFills);
+    };
+    for (int i = 0; i < ops; ++i) {
+        std::uint64_t line;
+        if (rng.chance(0.25)) {
+            line = rng.uniformInt(2 * lines);
+        } else {
+            // A hot set, and one of 3 * ways lines that map to it.
+            const std::uint64_t set =
+                rng.uniformInt(std::uint64_t{8}) * (sets / 8 + 1) % sets;
+            const std::uint64_t ways = config.associativity;
+            line = set + sets * rng.uniformInt(3 * ways);
+        }
+        const Addr addr = line * config.lineBytes +
+                          rng.uniformInt(std::uint64_t{config.lineBytes});
+        const std::uint64_t kind = rng.uniformInt(std::uint64_t{20});
+        if (kind < 6) {
+            EXPECT_EQ(cache.access(addr), ref.access(addr)) << "op " << i;
+        } else if (kind < 11) {
+            const CacheAccessOutcome want = ref.accessTracked(addr);
+            expectSameOutcome(cache.accessTracked(addr), want, i);
+            evictions += want.evictedValid;
+        } else if (kind < 16) {
+            const CacheAccessOutcome want = ref.fillTracked(addr);
+            expectSameOutcome(cache.fillTracked(addr), want, i);
+            evictions += want.evictedValid;
+        } else if (kind < 18) {
+            cache.fill(addr);
+            ref.fillTracked(addr);
+        } else {
+            EXPECT_EQ(cache.probe(addr), ref.probe(addr)) << "op " << i;
+        }
+        if (i % 10000 == 4999) {
+            same_counters();
+            cache.reset();
+            ref.reset();
+        }
+        if (testing::Test::HasFailure())
+            return;
+    }
+    same_counters();
+    EXPECT_GT(cache.misses(), 0u);
+    EXPECT_LT(cache.misses(), cache.accesses());
+    EXPECT_GT(evictions, 0u);
+    if (config.nextLinePrefetch) {
+        EXPECT_GT(cache.prefetchFills(), 0u);
+    }
+}
+
+TEST(CacheReference, L1iMatchesReferenceLoops)
+{
+    for (std::uint64_t seed = 1; seed <= 3; ++seed)
+        compareCacheStream(CoreConfig{}.l1i, seed, 40000);
+}
+
+TEST(CacheReference, L1dMatchesReferenceLoops)
+{
+    for (std::uint64_t seed = 1; seed <= 3; ++seed)
+        compareCacheStream(CoreConfig{}.l1d, seed * 7, 40000);
+}
+
+TEST(CacheReference, L2WithPrefetchMatchesReferenceLoops)
+{
+    const CacheConfig l2 = CoreConfig{}.l2;
+    ASSERT_TRUE(l2.nextLinePrefetch);
+    ASSERT_EQ(l2.prefetchDegree, 6u);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed)
+        compareCacheStream(l2, seed * 13, 40000);
+}
+
+TEST(CacheReference, SmallShapesMatchReferenceLoops)
+{
+    for (const auto &[size, assoc] :
+         {std::pair<std::uint32_t, std::uint32_t>{512, 1},
+          {1024, 2},
+          {4096, 4},
+          {4096, 64},
+          {8192, 128}})
+        compareCacheStream(tinyCache(size, assoc), size + assoc, 20000);
+}
+
+TEST(CacheReference, EmptySetFillsFromWayOneThenWayZero)
+{
+    // One 4-way set: the victim is the first invalid way scanning from
+    // way 1, so cold fills land in ways 1, 2, 3 and only then way 0;
+    // the fifth line evicts the least recent, the way-1 line.
+    Cache cache(tinyCache(256, 4));
+    const std::uint32_t expected[] = {1, 2, 3, 0, 1};
+    for (Addr i = 0; i < 5; ++i) {
+        const CacheAccessOutcome out = cache.fillTracked((i + 1) * 64);
+        EXPECT_FALSE(out.hit);
+        EXPECT_EQ(out.lineIndex, expected[i]) << "fill " << i;
+        EXPECT_EQ(out.evictedValid, i == 4);
+        EXPECT_EQ(out.evictedLineAddr, i == 4 ? 1u : 0u);
+    }
+    cache.reset();
+    EXPECT_EQ(cache.fillTracked(0x40).lineIndex, 1u);
+}
+
+TEST(CacheReference, LineBytesBelowTwoRejected)
+{
+    CacheConfig one_byte = tinyCache(1024, 2);
+    one_byte.lineBytes = 1;
+    EXPECT_THROW(Cache{one_byte}, FatalError);
+}
 
 } // namespace
 } // namespace mtperf::uarch
